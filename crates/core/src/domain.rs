@@ -1,12 +1,12 @@
 //! The [`Domain`]: one address space's publish/subscribe endpoint.
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 
-use parking_lot::RwLock;
+use parking_lot::{Mutex, RwLock};
 
-use psc_filter::RemoteFilter;
+use psc_filter::{FilterId, FilterIndex, RemoteFilter};
 use psc_obvent::{KindId, Obvent, ObventKind, ObventView, WireObvent};
 use psc_telemetry::{Counter, Registry};
 
@@ -71,10 +71,100 @@ type Dispatch = Arc<dyn Fn(&WireObvent) + Send + Sync>;
 
 struct SubEntry {
     kind: KindId,
-    remote_filter: Option<RemoteFilter>,
+    slot: Slot,
     dispatch: Dispatch,
-    active: bool,
     durable_id: Option<u64>,
+}
+
+/// Where a subscription's remote filter lives, which doubles as its
+/// activation state.
+enum Slot {
+    /// Inactive: the entry holds its remote filter, if it has one.
+    Inactive(Option<RemoteFilter>),
+    /// Active without a remote filter: listed in its kind's `unfiltered`.
+    Unfiltered,
+    /// Active: the remote filter was moved into its kind's index.
+    Indexed(FilterId),
+}
+
+/// The active subscriptions declared on one kind. Every host indexes its
+/// local filters exactly once, here: the paper's compound filter (§2.3.2)
+/// on the subscriber side.
+#[derive(Default)]
+struct KindSubs {
+    unfiltered: BTreeSet<SubId>,
+    index: FilterIndex,
+    owner: HashMap<FilterId, SubId>,
+}
+
+impl KindSubs {
+    fn insert(&mut self, id: SubId, filter: Option<RemoteFilter>) -> Slot {
+        match filter {
+            Some(filter) => {
+                let fid = self.index.insert(filter);
+                self.owner.insert(fid, id);
+                Slot::Indexed(fid)
+            }
+            None => {
+                self.unfiltered.insert(id);
+                Slot::Unfiltered
+            }
+        }
+    }
+
+    /// Takes an active `slot` out; returns the filter the index held.
+    fn remove(&mut self, id: SubId, slot: &Slot) -> Option<RemoteFilter> {
+        match *slot {
+            Slot::Indexed(fid) => {
+                self.owner.remove(&fid);
+                self.index.remove(fid)
+            }
+            Slot::Unfiltered => {
+                self.unfiltered.remove(&id);
+                None
+            }
+            Slot::Inactive(_) => unreachable!("only active slots are indexed"),
+        }
+    }
+
+    fn is_empty(&self) -> bool {
+        self.unfiltered.is_empty() && self.index.is_empty()
+    }
+}
+
+/// A domain's subscriptions plus the per-kind dispatch index over the
+/// active ones.
+#[derive(Default)]
+struct SubTable {
+    entries: HashMap<SubId, SubEntry>,
+    by_kind: HashMap<KindId, KindSubs>,
+}
+
+impl SubTable {
+    /// Moves an active entry's filter out of its kind's index and marks
+    /// it inactive. No-op on an inactive or unknown entry.
+    fn deactivate(&mut self, id: SubId) {
+        let Some(entry) = self.entries.get_mut(&id) else {
+            return;
+        };
+        if !entry.is_active() {
+            return;
+        }
+        let group = self
+            .by_kind
+            .get_mut(&entry.kind)
+            .expect("active subscriptions are indexed");
+        entry.slot = Slot::Inactive(group.remove(id, &entry.slot));
+        if group.is_empty() {
+            self.by_kind.remove(&entry.kind);
+        }
+    }
+}
+
+impl SubEntry {
+    fn is_active(&self) -> bool {
+        !matches!(self.slot, Slot::Inactive(_))
+    }
 }
 
 /// Telemetry handles of one domain; noop until
@@ -102,7 +192,9 @@ impl Default for CoreMetrics {
 }
 
 pub(crate) struct DomainInner {
-    subs: RwLock<HashMap<SubId, SubEntry>>,
+    /// A mutex, not a read-write lock: `FilterIndex::matching` keeps its
+    /// scratch state in a `RefCell`.
+    subs: Mutex<SubTable>,
     next_id: AtomicU64,
     backend: RwLock<Option<Box<dyn Dissemination>>>,
     executor: Executor,
@@ -194,7 +286,7 @@ impl Domain {
         make_backend: impl FnOnce(DeliverySink) -> Box<dyn Dissemination>,
     ) -> Domain {
         let inner = Arc::new(DomainInner {
-            subs: RwLock::new(HashMap::new()),
+            subs: Mutex::new(SubTable::default()),
             next_id: AtomicU64::new(1),
             backend: RwLock::new(None),
             executor: Executor::new(mode),
@@ -314,12 +406,11 @@ impl Domain {
         let id = SubId(self.inner.next_id.fetch_add(1, Ordering::SeqCst));
         let entry = SubEntry {
             kind: kind.id(),
-            remote_filter,
+            slot: Slot::Inactive(remote_filter),
             dispatch,
-            active: false,
             durable_id: None,
         };
-        self.inner.subs.write().insert(id, entry);
+        self.inner.subs.lock().entries.insert(id, entry);
         Subscription::new(Arc::downgrade(&self.inner), id)
     }
 
@@ -337,14 +428,23 @@ impl Domain {
 
     /// Number of currently active subscriptions.
     pub fn active_subscriptions(&self) -> usize {
-        self.inner.subs.read().values().filter(|e| e.active).count()
+        self.inner
+            .subs
+            .lock()
+            .entries
+            .values()
+            .filter(|e| e.is_active())
+            .count()
     }
 
     /// Shuts the domain down: deactivates everything and detaches the
     /// fabric. Publishing afterwards fails with
     /// [`PublishError::DomainClosed`].
     pub fn close(&self) {
-        self.inner.subs.write().clear();
+        // Drop the old table outside the lock: a handler closure may own
+        // a `Subscription` whose drop calls back into the domain.
+        let old = std::mem::take(&mut *self.inner.subs.lock());
+        drop(old);
         *self.inner.backend.write() = None;
     }
 }
@@ -352,7 +452,7 @@ impl Domain {
 impl std::fmt::Debug for Domain {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Domain")
-            .field("subscriptions", &self.inner.subs.read().len())
+            .field("subscriptions", &self.inner.subs.lock().entries.len())
             .field("delivered", &self.delivered_count())
             .finish()
     }
@@ -360,43 +460,46 @@ impl std::fmt::Debug for Domain {
 
 impl DomainInner {
     /// Core dispatch: kind conformance → remote filter → handler (which
-    /// applies the local filter after decoding). Returns how many
-    /// subscriptions matched.
+    /// applies the local filter after decoding). The published kind's
+    /// ancestry selects the candidate kinds (so supertype and interface
+    /// subscriptions match); each contributes its unfiltered subscriptions
+    /// plus its index's matches. Handlers are submitted in ascending
+    /// [`SubId`] order. Returns how many subscriptions matched.
     fn deliver(&self, wire: &WireObvent) -> usize {
-        let mut matched = 0;
-        // Lazily computed dynamic view shared by all remote filters.
+        let Some(kind) = psc_obvent::registry::lookup(wire.kind_id()) else {
+            return 0;
+        };
+        // Lazily computed dynamic view shared by all indexes.
         let mut view: Option<Option<ObventView>> = None;
-        let subs = self.subs.read();
-        let mut jobs: Vec<(SubId, Dispatch)> = Vec::new();
-        for (&id, entry) in subs.iter() {
-            if !entry.active {
-                continue;
-            }
-            if !psc_obvent::registry::is_subtype(wire.kind_id(), entry.kind) {
-                continue;
-            }
-            if let Some(filter) = &entry.remote_filter {
-                let view = view.get_or_insert_with(|| wire.view().ok());
-                match view {
-                    Some(view) => {
-                        if !filter.matches(view) {
-                            continue;
-                        }
-                    }
-                    // No decoder for this kind here: cannot evaluate the
-                    // content filter, so the conservative choice is to
-                    // deliver nothing.
-                    None => continue,
+        let jobs: Vec<(SubId, Dispatch)> = {
+            let subs = self.subs.lock();
+            let mut ids: Vec<SubId> = Vec::new();
+            for ancestor in kind.ancestry() {
+                let Some(group) = subs.by_kind.get(ancestor) else {
+                    continue;
+                };
+                ids.extend(&group.unfiltered);
+                if group.index.is_empty() {
+                    continue;
+                }
+                // No decoder for this kind here: the content filters
+                // cannot be evaluated, so the conservative choice is to
+                // deliver to none of the filtered subscriptions.
+                if let Some(view) = view.get_or_insert_with(|| wire.view().ok()) {
+                    let matches = group.index.matching(view);
+                    ids.extend(matches.iter().map(|fid| group.owner[fid]));
                 }
             }
-            matched += 1;
-            jobs.push((id, Arc::clone(&entry.dispatch)));
-        }
-        drop(subs);
+            ids.sort_unstable();
+            ids.into_iter()
+                .map(|id| (id, Arc::clone(&subs.entries[&id].dispatch)))
+                .collect()
+        };
+        let matched = jobs.len();
         {
             let metrics = self.metrics.read();
             metrics.matched.add(matched as u64);
-            metrics.delivered.add(jobs.len() as u64);
+            metrics.delivered.add(matched as u64);
         }
         for (id, dispatch) in jobs {
             self.delivered_count.fetch_add(1, Ordering::SeqCst);
@@ -408,42 +511,49 @@ impl DomainInner {
 
     // ---- subscription handle operations ----
 
-    pub(crate) fn activate(&self, id: SubId, durable_id: Option<u64>) -> Result<(), SubscribeError> {
+    pub(crate) fn activate(
+        &self,
+        id: SubId,
+        durable_id: Option<u64>,
+    ) -> Result<(), SubscribeError> {
         let record = {
-            let mut subs = self.subs.write();
+            let mut subs = self.subs.lock();
+            let SubTable { entries, by_kind } = &mut *subs;
             if let Some(durable) = durable_id {
-                let clash = subs
-                    .iter()
-                    .any(|(&other, e)| other != id && e.active && e.durable_id == Some(durable));
+                let clash = entries.iter().any(|(&other, e)| {
+                    other != id && e.is_active() && e.durable_id == Some(durable)
+                });
                 if clash {
                     return Err(SubscribeError::DurableIdInUse(durable));
                 }
             }
-            let entry = subs.get_mut(&id).ok_or(SubscribeError::DomainClosed)?;
-            if entry.active {
+            let entry = entries.get_mut(&id).ok_or(SubscribeError::DomainClosed)?;
+            let Slot::Inactive(filter) = &mut entry.slot else {
                 return Err(SubscribeError::AlreadyActive);
-            }
-            entry.active = true;
+            };
+            let filter = filter.take();
             entry.durable_id = durable_id;
-            SubscriptionRecord {
+            let record = SubscriptionRecord {
                 id,
                 kind: entry.kind,
-                remote_filter: entry.remote_filter.clone(),
+                remote_filter: filter.clone(),
                 durable_id,
-            }
+            };
+            entry.slot = by_kind.entry(entry.kind).or_default().insert(id, filter);
+            record
         };
-        let backend = self.backend.read();
-        let backend = backend.as_ref().ok_or(SubscribeError::DomainClosed)?;
-        match backend.subscribe(record) {
+        let result = match self.backend.read().as_ref() {
+            Some(backend) => backend.subscribe(record),
+            None => Err(SubscribeError::DomainClosed),
+        };
+        match result {
             Ok(()) => {
                 self.metrics.read().subs_activated.inc();
                 Ok(())
             }
             Err(err) => {
                 // Roll back the activation.
-                if let Some(entry) = self.subs.write().get_mut(&id) {
-                    entry.active = false;
-                }
+                self.subs.lock().deactivate(id);
                 Err(err)
             }
         }
@@ -451,12 +561,15 @@ impl DomainInner {
 
     pub(crate) fn deactivate(&self, id: SubId) -> Result<(), UnsubscribeError> {
         {
-            let mut subs = self.subs.write();
-            let entry = subs.get_mut(&id).ok_or(UnsubscribeError::DomainClosed)?;
-            if !entry.active {
+            let mut subs = self.subs.lock();
+            let entry = subs
+                .entries
+                .get(&id)
+                .ok_or(UnsubscribeError::DomainClosed)?;
+            if !entry.is_active() {
                 return Err(UnsubscribeError::NotActive);
             }
-            entry.active = false;
+            subs.deactivate(id);
         }
         let backend = self.backend.read();
         let backend = backend.as_ref().ok_or(UnsubscribeError::DomainClosed)?;
@@ -466,7 +579,11 @@ impl DomainInner {
     }
 
     pub(crate) fn is_active(&self, id: SubId) -> bool {
-        self.subs.read().get(&id).is_some_and(|e| e.active)
+        self.subs
+            .lock()
+            .entries
+            .get(&id)
+            .is_some_and(SubEntry::is_active)
     }
 
     pub(crate) fn set_policy(&self, id: SubId, policy: ThreadPolicy) {
@@ -474,7 +591,12 @@ impl DomainInner {
     }
 
     pub(crate) fn drop_subscription(&self, id: SubId) {
-        if self.subs.write().remove(&id).is_some() {
+        let removed = {
+            let mut subs = self.subs.lock();
+            subs.deactivate(id);
+            subs.entries.remove(&id)
+        };
+        if removed.is_some() {
             self.metrics.read().subs_dropped.inc();
         }
         self.executor.remove_sub(id);

@@ -577,6 +577,293 @@ mod routing_property {
     }
 }
 
+mod dispatch_order {
+    use super::*;
+
+    /// Handlers of one delivery are submitted in ascending subscription id
+    /// order, whatever the activation order and whichever kind (declared
+    /// or super) each subscription targets.
+    #[test]
+    fn overlapping_subscriptions_dispatch_in_ascending_id_order() {
+        let domain = Domain::in_process();
+        let order = Arc::new(Mutex::new(Vec::new()));
+        let recorder = |label: &'static str| {
+            let order = order.clone();
+            move || order.lock().unwrap().push(label)
+        };
+        let first = recorder("cheap");
+        let cheap = domain.subscribe(
+            FilterSpec::remote(rfilter!(price < 100.0)),
+            move |_q: StockQuote| first(),
+        );
+        let second = recorder("all");
+        let all = domain.subscribe(FilterSpec::accept_all(), move |_q: StockQuote| second());
+        let third = recorder("telco-base");
+        let base = domain.subscribe(
+            FilterSpec::remote(rfilter!(company contains "Telco")),
+            move |_o: StockObvent| third(),
+        );
+        assert!(cheap.id() < all.id() && all.id() < base.id());
+        base.activate().unwrap();
+        all.activate().unwrap();
+        cheap.activate().unwrap();
+        for _ in 0..3 {
+            publish!(domain, quote("Telco", 50.0, 1)).unwrap();
+        }
+        domain.drain();
+        assert_eq!(
+            *order.lock().unwrap(),
+            ["cheap", "all", "telco-base"].repeat(3)
+        );
+    }
+}
+
+mod dispatch_index {
+    //! Differential test: indexed dispatch equals a reference scan (kind
+    //! conformance, then `RemoteFilter::matches`) over random kind
+    //! hierarchies and subscription churn.
+    use super::*;
+    use proptest::prelude::*;
+    use psc_filter::{CmpOp, Predicate, RemoteFilter, Value};
+    use psc_obvent::registry::{self, KindRole};
+    use psc_obvent::{KindId, ObventError, ObventKind, ObventView, WireObvent};
+
+    /// View decoder of the generated kinds: the payload is the kind's raw
+    /// id and its property record.
+    fn decode_generated(payload: &[u8]) -> Result<ObventView, ObventError> {
+        let (kind, props): (u64, Value) =
+            psc_codec::from_bytes(payload).map_err(ObventError::Codec)?;
+        let kind = KindId::from_raw(kind);
+        let name = registry::lookup(kind).map_or("?", |k| k.name());
+        Ok(ObventView::new(kind, name, props))
+    }
+
+    /// Kind `i` of a hierarchy: whether it is an interface, a bit mask
+    /// over kinds `< i` naming its direct supertypes, and whether it has a
+    /// view decoder in this process.
+    type KindSpec = (bool, u8, bool);
+
+    fn arb_hierarchy() -> impl Strategy<Value = Vec<KindSpec>> {
+        // One kind in five has no decoder.
+        let kind = (any::<bool>(), any::<u8>(), 0u8..5).prop_map(|(i, m, d)| (i, m, d != 0));
+        proptest::collection::vec(kind, 1..6)
+    }
+
+    /// Registers a fresh copy of `spec` (names are unique per call, since
+    /// the registry is process-wide) and returns each kind with its
+    /// ancestor set, computed from `spec` independently of the registry.
+    fn register_hierarchy(spec: &[KindSpec]) -> Vec<(&'static ObventKind, Vec<usize>)> {
+        static NEXT_CASE: AtomicUsize = AtomicUsize::new(0);
+        let case = NEXT_CASE.fetch_add(1, Ordering::SeqCst);
+        let mut kinds: Vec<(&'static ObventKind, Vec<usize>)> = Vec::new();
+        for (i, &(interface, mask, decoder)) in spec.iter().enumerate() {
+            let supers: Vec<usize> = (0..i).filter(|j| mask >> j & 1 == 1).collect();
+            let mut ancestors = vec![i];
+            for &j in &supers {
+                ancestors.extend(&kinds[j].1);
+            }
+            ancestors.sort_unstable();
+            ancestors.dedup();
+            let name: &'static str =
+                Box::leak(format!("dispatch_index.case{case}.K{i}").into_boxed_str());
+            let role = if interface {
+                KindRole::Interface
+            } else {
+                KindRole::Class
+            };
+            let super_ids: Vec<KindId> = supers.iter().map(|&j| kinds[j].0.id()).collect();
+            let kind = registry::register(name, role, &super_ids);
+            if decoder {
+                registry::register_decoder(kind.id(), decode_generated);
+            }
+            kinds.push((kind, ancestors));
+        }
+        kinds
+    }
+
+    fn arb_conjunction() -> impl Strategy<Value = RemoteFilter> {
+        let pred = prop_oneof![
+            (
+                prop_oneof![Just(CmpOp::Lt), Just(CmpOp::Ge), Just(CmpOp::Eq)],
+                0i64..8
+            )
+                .prop_map(|(op, v)| Predicate::new("x", op, v)),
+            "[ab]".prop_map(|t| Predicate::new("tag", CmpOp::Eq, t)),
+        ];
+        proptest::collection::vec(pred, 0..3).prop_map(RemoteFilter::conjunction)
+    }
+
+    /// Unfiltered three times in ten; otherwise a conjunction, a
+    /// disjunction or a negation (the index's counting and tree paths).
+    fn arb_filter() -> impl Strategy<Value = Option<RemoteFilter>> {
+        (arb_conjunction(), arb_conjunction(), 0u8..10).prop_map(|(a, b, shape)| match shape {
+            0..=2 => None,
+            3..=5 => Some(a),
+            6..=8 => Some(a.or(b)),
+            _ => Some(a.negate()),
+        })
+    }
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        Subscribe {
+            kind: usize,
+            filter: Option<RemoteFilter>,
+            activate: bool,
+        },
+        Activate(usize),
+        Deactivate(usize),
+        Drop(usize),
+        Publish {
+            kind: usize,
+            x: i64,
+            tag: String,
+        },
+        Close,
+    }
+
+    /// Churn with mostly publishes. Of 64 choices: 10 subscribe (8 of
+    /// them activated at once), 4 activate, 4 deactivate, 3 drop, 1 close
+    /// and 42 publish.
+    fn arb_op() -> impl Strategy<Value = Op> {
+        (0u8..64, 0usize..16, arb_filter(), 0i64..8, "[ab]").prop_map(
+            |(choice, n, filter, x, tag)| match choice {
+                0..=9 => Op::Subscribe {
+                    kind: n,
+                    filter,
+                    activate: choice < 8,
+                },
+                10..=13 => Op::Activate(n),
+                14..=17 => Op::Deactivate(n),
+                18..=20 => Op::Drop(n),
+                21 => Op::Close,
+                _ => Op::Publish { kind: n, x, tag },
+            },
+        )
+    }
+
+    /// A starting population of activated subscriptions, then churn.
+    fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
+        let initial = (0usize..16, arb_filter()).prop_map(|(kind, filter)| Op::Subscribe {
+            kind,
+            filter,
+            activate: true,
+        });
+        (
+            proptest::collection::vec(initial, 2..12),
+            proptest::collection::vec(arb_op(), 1..60),
+        )
+            .prop_map(|(mut initial, churn)| {
+                initial.extend(churn);
+                initial
+            })
+    }
+
+    fn activate(sub: &mut ModelSub, closed: bool) -> Result<(), TestCaseError> {
+        let expect_ok = !closed && !sub.active;
+        prop_assert_eq!(sub.handle.activate().is_ok(), expect_ok);
+        sub.active |= expect_ok;
+        Ok(())
+    }
+
+    struct ModelSub {
+        handle: crate::Subscription,
+        kind: usize,
+        filter: Option<RemoteFilter>,
+        active: bool,
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn prop_indexed_dispatch_equals_reference_scan(
+            spec in arb_hierarchy(),
+            ops in arb_ops(),
+        ) {
+            let kinds = register_hierarchy(&spec);
+            let domain = Domain::in_process();
+            let log: Arc<Mutex<Vec<crate::SubId>>> = Arc::new(Mutex::new(Vec::new()));
+            let mut subs: Vec<ModelSub> = Vec::new();
+            let mut closed = false;
+            for op in ops {
+                match op {
+                    Op::Subscribe { kind, filter, activate: now } => {
+                        let kind = kind % kinds.len();
+                        let filter_spec = match &filter {
+                            Some(f) => FilterSpec::remote(f.clone()),
+                            None => FilterSpec::accept_all(),
+                        };
+                        let id = Arc::new(Mutex::new(None));
+                        let (log, slot) = (log.clone(), id.clone());
+                        let handle = domain.subscribe_view(kinds[kind].0, filter_spec, move |_view| {
+                            log.lock().unwrap().push(slot.lock().unwrap().expect("id set"));
+                        });
+                        *id.lock().unwrap() = Some(handle.id());
+                        let mut sub = ModelSub { handle, kind, filter, active: false };
+                        if now {
+                            activate(&mut sub, closed)?;
+                        }
+                        subs.push(sub);
+                    }
+                    Op::Activate(i) if !subs.is_empty() => {
+                        let len = subs.len();
+                        activate(&mut subs[i % len], closed)?;
+                    }
+                    Op::Deactivate(i) if !subs.is_empty() => {
+                        let len = subs.len();
+                        let sub = &mut subs[i % len];
+                        prop_assert_eq!(sub.handle.deactivate().is_ok(), sub.active);
+                        sub.active = false;
+                    }
+                    Op::Drop(i) if !subs.is_empty() => {
+                        drop(subs.remove(i % subs.len()));
+                    }
+                    Op::Publish { kind, x, tag } => {
+                        let kind = kind % kinds.len();
+                        let (published, ancestors) = &kinds[kind];
+                        let props =
+                            Value::record([("x", Value::from(x)), ("tag", Value::from(tag))]);
+                        let payload =
+                            psc_codec::to_bytes(&(published.id().as_u64(), &props)).unwrap();
+                        let wire = WireObvent::from_parts(published.id(), payload);
+                        let decodable = spec[kind].2;
+                        let mut expected: Vec<crate::SubId> = subs
+                            .iter()
+                            .filter(|s| s.active && ancestors.contains(&s.kind))
+                            .filter(|s| match &s.filter {
+                                None => true,
+                                Some(f) => decodable && f.matches(&props),
+                            })
+                            .map(|s| s.handle.id())
+                            .collect();
+                        expected.sort();
+                        log.lock().unwrap().clear();
+                        let matched = domain.sink().deliver(&wire);
+                        prop_assert_eq!(matched, expected.len());
+                        // Without a decoder the view handlers cannot run:
+                        // only the count shows the unfiltered matches.
+                        let ran = if decodable { expected } else { Vec::new() };
+                        prop_assert_eq!(&*log.lock().unwrap(), &ran);
+                    }
+                    Op::Close => {
+                        domain.close();
+                        closed = true;
+                        for sub in &mut subs {
+                            sub.active = false;
+                        }
+                    }
+                    _ => {}
+                }
+                prop_assert_eq!(
+                    domain.active_subscriptions(),
+                    subs.iter().filter(|s| s.active).count()
+                );
+            }
+        }
+    }
+}
+
 mod concurrency_smoke {
     use super::*;
 

@@ -339,8 +339,12 @@ impl Channel {
     }
 }
 
+/// A local subscription as the fabric sees it. Its decoded filter is not
+/// kept here: the [`Domain`] indexes it and makes every local delivery
+/// decision, so the node only floods the encoded form to its peers.
 struct LocalSub {
-    record: Arc<SubscriptionRecord>,
+    kind: KindId,
+    durable_id: Option<u64>,
     /// The subscription's remote filter, encoded exactly once; every
     /// join/announce flood clones the shared buffer instead of re-encoding
     /// (empty when unfiltered).
@@ -981,7 +985,6 @@ impl DaceNode {
     }
 
     fn subscribe_flow(&mut self, ctx: &mut Ctx<'_>, record: SubscriptionRecord) {
-        let record = Arc::new(record);
         let sub_raw = record.id.0;
         // Encode the remote filter once; joins and announces share it.
         let filter_bytes = record
@@ -1006,7 +1009,8 @@ impl DaceNode {
         self.local_subs.insert(
             sub_raw,
             LocalSub {
-                record: Arc::clone(&record),
+                kind: record.kind,
+                durable_id: record.durable_id,
                 filter_bytes,
                 joined: HashSet::new(),
             },
@@ -1055,12 +1059,14 @@ impl DaceNode {
             me.0,
             sub_raw,
             channel.as_u64(),
-            local.record.kind.as_u64(),
+            local.kind.as_u64(),
             local.filter_bytes.clone(),
         );
-        let filter = local.record.remote_filter.clone();
         self.flood_control(ctx, &ctl);
-        // Apply locally so self-publishing routes to local subscribers.
+        // Apply locally so self-publishing routes to local subscribers. The
+        // entry is membership-only (`filter: None`): the channel's index
+        // keeps remote nodes' filters, and the domain's own index decides
+        // which local subscriptions match.
         self.ensure_channel(ctx, channel);
         if let Some(engine) = self.engine.as_mut() {
             engine.stage(
@@ -1069,13 +1075,13 @@ impl DaceNode {
                     kind: channel,
                     node: me.0,
                     sub: sub_raw,
-                    filter,
+                    filter: None,
                 },
                 PendingAction::Proto,
             );
         } else {
             let ch = self.channels.get_mut(&channel).expect("just ensured");
-            ch.subscribe(me.0, sub_raw, filter);
+            ch.subscribe(me.0, sub_raw, None);
         }
     }
 
@@ -1084,7 +1090,7 @@ impl DaceNode {
         let Some(local) = self.local_subs.remove(&id.0) else {
             return;
         };
-        if let Some(durable_id) = local.record.durable_id {
+        if let Some(durable_id) = local.durable_id {
             // Explicit deactivation ends the durable lifetime.
             ctx.storage().remove(&format!("dursub/{durable_id:020}"));
             self.durable_pending.remove(&durable_id);
@@ -1133,7 +1139,7 @@ impl DaceNode {
         let matching: Vec<u64> = self
             .local_subs
             .iter()
-            .filter(|(_, local)| psc_obvent::registry::is_subtype(kind, local.record.kind))
+            .filter(|(_, local)| psc_obvent::registry::is_subtype(kind, local.kind))
             .map(|(&sub, _)| sub)
             .collect();
         for sub in matching {
@@ -1721,9 +1727,7 @@ impl DaceNode {
                 local
                     .joined
                     .iter()
-                    .map(|&channel| {
-                        (sub, channel, local.record.kind, local.filter_bytes.clone())
-                    })
+                    .map(|&channel| (sub, channel, local.kind, local.filter_bytes.clone()))
                     .collect::<Vec<_>>()
             })
             .collect();
@@ -2428,9 +2432,9 @@ impl Inspect for DaceNode {
             joined.sort();
             report.line(format!(
                 "sub={id} kind={} filtered={} durable={} joined={}",
-                kind_name(sub.record.kind),
-                sub.record.remote_filter.is_some(),
-                sub.record.durable_id.is_some(),
+                kind_name(sub.kind),
+                !sub.filter_bytes.is_empty(),
+                sub.durable_id.is_some(),
                 joined.join(",")
             ));
         }

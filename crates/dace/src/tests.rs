@@ -406,6 +406,71 @@ fn broker_placement_routes_through_the_filtering_host() {
     assert!(non_matching.lock().unwrap().is_empty());
 }
 
+/// A node that publishes and also holds filtered subscriptions delivers
+/// each publish to exactly its matching local subscriptions, under every
+/// placement and shard count: its channel lists the local subscriptions as
+/// members only, and the domain's index decides.
+#[test]
+fn publisher_local_filtered_subscriptions_get_exact_matches() {
+    let placements = [
+        Placement::Publisher,
+        Placement::Subscriber,
+        Placement::Broker(NodeId(0)),
+        Placement::Broker(NodeId(1)),
+    ];
+    for placement in placements {
+        for shards in [1, 2] {
+            let config = DaceConfig {
+                placement,
+                shards,
+                ..DaceConfig::default()
+            };
+            let (mut sim, ids) = cluster(3, SimConfig::default(), config);
+            let low = subscribe_plain(
+                &mut sim,
+                ids[0],
+                FilterSpec::remote(psc_filter::rfilter!(n < 5)),
+            );
+            let band = subscribe_plain(
+                &mut sim,
+                ids[0],
+                FilterSpec::remote(psc_filter::rfilter!(n >= 3 && n < 8)),
+            );
+            let none = subscribe_plain(
+                &mut sim,
+                ids[0],
+                FilterSpec::remote(psc_filter::rfilter!(n > 100)),
+            );
+            let remote = subscribe_plain(
+                &mut sim,
+                ids[2],
+                FilterSpec::remote(psc_filter::rfilter!(n >= 8)),
+            );
+            settle(&mut sim, 10);
+            for n in 0..12u64 {
+                DaceNode::publish_from(&mut sim, ids[0], PlainTick::new(n.to_string(), n));
+            }
+            settle(&mut sim, 100);
+            // Best-effort direct sends may arrive out of order.
+            let got = |seen: &Seen<String>| {
+                let mut ns: Vec<u64> = seen
+                    .lock()
+                    .unwrap()
+                    .iter()
+                    .map(|t| t.parse().unwrap())
+                    .collect();
+                ns.sort_unstable();
+                ns
+            };
+            let case = format!("{placement:?} shards={shards}");
+            assert_eq!(got(&low), (0..5).collect::<Vec<_>>(), "{case}");
+            assert_eq!(got(&band), (3..8).collect::<Vec<_>>(), "{case}");
+            assert!(got(&none).is_empty(), "{case}");
+            assert_eq!(got(&remote), (8..12).collect::<Vec<_>>(), "{case}");
+        }
+    }
+}
+
 #[test]
 fn gossip_mode_disseminates_unreliable_obvents() {
     let config = DaceConfig {
